@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzAssemble -fuzztime=10s -run '^$$' ./internal/asm
 	$(GO) test -fuzz=FuzzAlignHandler -fuzztime=10s -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzExtTSPSemantics -fuzztime=10s -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzTryNMatchesExhaustive -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzImportCFG -fuzztime=10s -run '^$$' ./internal/cfgio
 	$(GO) test -fuzz=FuzzImportDOT -fuzztime=10s -run '^$$' ./internal/cfgio
 	$(GO) test -race -run 'TestBroadcast|TestSimulateStream' ./internal/sim

@@ -499,16 +499,24 @@ func BenchmarkAlignCost(b *testing.B) {
 	}
 }
 
-// BenchmarkAlignTryN measures the TryN algorithm at the paper's window.
+// BenchmarkAlignTryN measures the TryN algorithm at the paper's window
+// under two cost models. fallthrough prices conditionals the same in
+// either direction, so TryN runs its search once per procedure; btfnt is
+// direction-sensitive (and /v1/align's default), so TryN also runs its
+// placement-feedback pass.
 func BenchmarkAlignTryN(b *testing.B) {
 	prog, pf := alignBenchFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.AlignProgram(prog, pf, core.Options{
-			Algorithm: core.AlgoTryN, Model: cost.FallthroughModel{}, Window: 15,
-		}); err != nil {
-			b.Fatal(err)
-		}
+	for _, m := range []cost.Model{cost.FallthroughModel{}, cost.BTFNTModel{}} {
+		b.Run(m.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.AlignProgram(prog, pf, core.Options{
+					Algorithm: core.AlgoTryN, Model: m, Window: 15,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"balign/internal/cost"
@@ -71,6 +72,10 @@ type Options struct {
 	// telemetry at zero cost (not even clock reads); telemetry never
 	// influences layout decisions.
 	Obs *obs.Recorder
+	// Ctx, when non-nil, bounds the alignment: AlignProgram checks it
+	// between procedures and TryN polls it during its search, returning
+	// the context's error once it is done. Nil never cancels.
+	Ctx context.Context
 }
 
 func (o *Options) window() int {
@@ -110,7 +115,8 @@ type Result struct {
 // AlignProgram aligns every procedure of prog using the profile pf and
 // returns the rewritten program, the transferred profile and rewrite
 // statistics. Procedures without profile data keep their original layout.
-// The input program and profile are not modified.
+// The input program and profile are not modified. A done opts.Ctx stops
+// the alignment with the context's error.
 func AlignProgram(prog *ir.Program, pf *profile.Profile, opts Options) (*Result, error) {
 	// Feed entry blocks their invocation counts (derived from caller block
 	// weights) so absolute-weight consumers — ExtTSP distances, chain
@@ -127,6 +133,9 @@ func AlignProgram(prog *ir.Program, pf *profile.Profile, opts Options) (*Result,
 	res := &Result{Prog: out, Prof: npf}
 
 	for _, p := range prog.Procs {
+		if opts.Ctx != nil && opts.Ctx.Err() != nil {
+			return nil, opts.Ctx.Err()
+		}
 		pp, ok := pf.Procs[p.Name]
 		if !ok || opts.Algorithm == AlgoOriginal || opts.Algorithm == "" {
 			out.Procs = append(out.Procs, p.Clone())
@@ -196,8 +205,7 @@ func planLayout(p *ir.Proc, pp *profile.ProcProfile, opts Options) ([]ir.BlockID
 		if opts.Model == nil {
 			return nil, nil, fmt.Errorf("algorithm %q requires a cost model", opts.Algorithm)
 		}
-		layout, force := tryNLayout(p, pp, opts)
-		return layout, force, nil
+		return tryNLayout(p, pp, opts)
 	case AlgoExtTSP:
 		return extTSPLayout(p, pp), nil, nil
 	default:

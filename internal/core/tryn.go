@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"sort"
 
 	"balign/internal/cost"
@@ -8,44 +10,34 @@ import (
 	"balign/internal/profile"
 )
 
-// tryChoice is one alignment possibility for a node, mirroring the paper:
+// tryOption is one alignment possibility for a node, mirroring the paper:
 // single-exit nodes try {fall-through, taken+jump}; conditionals try each
-// outgoing edge as the fall-through and also neither.
-type tryChoice uint8
-
-const (
-	chooseFallF   tryChoice = iota // keep the fall edge as fall-through (cond)
-	chooseFallT                    // make the taken edge the fall-through (cond, inverts)
-	chooseNeither                  // align neither edge: conditional + jump
-	chooseLink                     // single-exit: successor becomes fall-through
-	chooseJump                     // single-exit: reach successor by jump
-)
+// outgoing edge as the fall-through and also neither. Its costs are
+// precomputed so the search never calls the cost model. A linking choice's
+// cost depends only on whether dirOf (the successor left as the taken
+// direction) lies at or before the node, so both answers are tabulated; a
+// fixed-cost choice (neither, or jump) stores its cost in both.
+type tryOption struct {
+	// target is the chain-link destination, or NoBlock for a fixed choice.
+	target ir.BlockID
+	dirOf  ir.BlockID
+	fwd    float64 // linked cost when dirOf lies after the node
+	back   float64 // linked cost when dirOf lies at or before the node
+}
 
 // tryNode is a node participating in one TryN window.
 type tryNode struct {
 	info    *nodeInfo
-	model   cost.Model
-	choices []tryChoice
+	options []tryOption
+	buf     [3]tryOption // backing store for options
 	// fallback is the cost charged when a link choice turns out infeasible
 	// in the tentative chain state (target already claimed, cycle, ...).
 	fallback float64
+	// lbFree is the least cost the node can be charged under any choice
+	// and chain state: the search's bound for a node not yet chosen.
+	lbFree float64
 	// weight orders nodes within the window (hottest first).
 	weight uint64
-}
-
-// linkTarget returns the chain-link destination of a choice, or NoBlock for
-// non-linking choices.
-func (n *tryNode) linkTarget(ch tryChoice) ir.BlockID {
-	switch ch {
-	case chooseFallF:
-		return n.info.f
-	case chooseFallT:
-		return n.info.t
-	case chooseLink:
-		return n.info.t
-	default:
-		return ir.NoBlock
-	}
 }
 
 // tryNLayout implements the paper's Try15 heuristic with a configurable
@@ -54,32 +46,60 @@ func (n *tryNode) linkTarget(ch tryChoice) ir.BlockID {
 // located in the final procedure", so a first pass commits a layout, and a
 // second pass repeats the search using the first pass's block positions as
 // the backward/forward estimates. The second pass can only change decisions
-// whose placement guesses were wrong.
-func tryNLayout(p *ir.Proc, pp *profile.ProcProfile, opts Options) ([]ir.BlockID, map[ir.BlockID]bool) {
-	layout, _ := tryNOnce(p, pp, opts, nil)
+// whose placement guesses were wrong, so it runs only when some conditional
+// in the procedure is priced differently taken-backward and
+// taken-forward.
+func tryNLayout(p *ir.Proc, pp *profile.ProcProfile, opts Options) ([]ir.BlockID, map[ir.BlockID]bool, error) {
+	infos := buildNodeInfos(p, pp)
+	s := newTrySearch(opts)
+	defer func() {
+		opts.Obs.Add("core.plan.tryn.leaves", s.leaves)
+		opts.Obs.Add("core.plan.tryn.pruned", s.pruned)
+	}()
+	layout, forceJump, err := tryNOnce(p, pp, opts, infos, s)
+	if err != nil || !directionSensitive(infos, opts.Model) {
+		return layout, forceJump, err
+	}
 	pos := make([]int, len(p.Blocks))
 	for i, b := range layout {
 		pos[b] = i
 	}
-	return tryNOnce(p, pp, opts, pos)
+	for i := range infos {
+		infos[i].posHint = pos
+	}
+	return tryNOnce(p, pp, opts, infos, s)
+}
+
+// directionSensitive reports whether m prices some valid conditional of
+// infos differently depending on whether its taken target lies backward.
+// posHint reaches TryN's decisions only through that direction argument,
+// so when this is false the placement-feedback pass repeats the first pass
+// exactly.
+func directionSensitive(infos []nodeInfo, m cost.Model) bool {
+	for i := range infos {
+		ni := &infos[i]
+		if !ni.valid || !ni.isCond {
+			continue
+		}
+		if m.CondBranch(ni.wF, ni.wT, true) != m.CondBranch(ni.wF, ni.wT, false) ||
+			m.CondBranch(ni.wT, ni.wF, true) != m.CondBranch(ni.wT, ni.wF, false) {
+			return true
+		}
+	}
+	return false
 }
 
 // tryNOnce is one TryN pass: take the N hottest not-yet-decided edges
-// (weight ≥ MinWeight), gather their source nodes, and evaluate every
-// combination of the nodes' alignment choices under the cost model,
-// committing the cheapest. Nodes that share chains or targets are
-// enumerated jointly; independent nodes are optimized separately (an exact
-// decomposition that keeps the enumeration tractable). Remaining cold edges
-// are linked greedily.
-func tryNOnce(p *ir.Proc, pp *profile.ProcProfile, opts Options, posHint []int) ([]ir.BlockID, map[ir.BlockID]bool) {
+// (weight ≥ MinWeight), gather their source nodes, and search the
+// combinations of the nodes' alignment choices under the cost model,
+// committing the cheapest. Nodes that share chains or targets are searched
+// jointly; independent nodes are optimized separately (an exact
+// decomposition that keeps the search tractable). Remaining cold edges are
+// linked greedily.
+func tryNOnce(p *ir.Proc, pp *profile.ProcProfile, opts Options, infos []nodeInfo, s *trySearch) ([]ir.BlockID, map[ir.BlockID]bool, error) {
 	m := opts.Model
 	c := newChains(p)
-	infos := buildNodeInfos(p, pp)
-	if posHint != nil {
-		for i := range infos {
-			infos[i].posHint = posHint
-		}
-	}
+	s.c = c
 	edges := alignableEdges(p, pp.Weight, opts.minWeight())
 
 	decided := make(map[ir.BlockID]bool)
@@ -116,7 +136,9 @@ func tryNOnce(p *ir.Proc, pp *profile.ProcProfile, opts Options, posHint []int) 
 		})
 
 		for _, cluster := range clusterNodes(c, nodes) {
-			commitBest(c, cluster, forceJump, opts.maxCombos())
+			if err := s.commitBest(cluster, forceJump, m, opts.maxCombos()); err != nil {
+				return nil, nil, err
+			}
 		}
 		for _, n := range nodes {
 			decided[n.info.id] = true
@@ -136,57 +158,62 @@ func tryNOnce(p *ir.Proc, pp *profile.ProcProfile, opts Options, posHint []int) 
 			forceJump[ni.id] = true
 		}
 	}
-	return orderChains(c, pp, opts.Order), forceJump
+	return orderChains(c, pp, opts.Order), forceJump, nil
 }
 
-// makeTryNode enumerates the node's choices.
+// makeTryNode lists the node's choices with their costs, in the order the
+// search enumerates them.
 func makeTryNode(ni *nodeInfo, m cost.Model) *tryNode {
-	tn := &tryNode{info: ni, model: m, weight: ni.wT + ni.wF}
+	tn := &tryNode{info: ni, weight: ni.wT + ni.wF}
+	tn.options = tn.buf[:0]
 	if ni.isCond {
 		tn.fallback = ni.neitherCost(m)
-		tn.choices = append(tn.choices, chooseFallF)
+		tn.options = append(tn.options, tryOption{target: ni.f, dirOf: ni.t,
+			fwd: m.CondBranch(ni.wF, ni.wT, false), back: m.CondBranch(ni.wF, ni.wT, true)})
 		if ni.t != ni.f {
-			tn.choices = append(tn.choices, chooseFallT)
+			// Invert: the taken edge becomes the fall-through.
+			tn.options = append(tn.options, tryOption{target: ni.t, dirOf: ni.f,
+				fwd: m.CondBranch(ni.wT, ni.wF, false), back: m.CondBranch(ni.wT, ni.wF, true)})
 		}
-		tn.choices = append(tn.choices, chooseNeither)
+		tn.options = append(tn.options, tryOption{target: ir.NoBlock, fwd: tn.fallback, back: tn.fallback})
 	} else {
 		tn.fallback = ni.jumpCost(m)
-		tn.choices = append(tn.choices, chooseLink, chooseJump)
+		tn.options = append(tn.options,
+			tryOption{target: ni.t},
+			tryOption{target: ir.NoBlock, fwd: tn.fallback, back: tn.fallback})
+	}
+	tn.lbFree = math.Inf(1)
+	for _, o := range tn.options {
+		lb := math.Min(o.fwd, o.back)
+		if o.target != ir.NoBlock {
+			lb = math.Min(lb, tn.fallback)
+		}
+		tn.lbFree = math.Min(tn.lbFree, lb)
 	}
 	return tn
 }
 
-// choiceCost prices one choice of a node, given the live (tentative) chain
-// state so the BT/FNT backward test can see where the taken target landed:
-// a taken target threaded earlier in the node's own chain is certainly
+// cost prices option k of the node given the live (tentative) chain state,
+// so the BT/FNT backward test can see where the taken target landed: a
+// taken target threaded earlier in the node's own chain is certainly
 // backward; otherwise the original block order is the estimate. This
 // chain-aware pricing is what lets TryN discover where to break a loop —
 // the capability the paper credits for Try15 beating Greedy and Cost.
-func (n *tryNode) choiceCost(c *chains, ch tryChoice, linked bool) float64 {
-	ni := n.info
-	m := n.model
-	switch ch {
-	case chooseFallF:
-		if !linked {
-			return n.fallback
-		}
-		return m.CondBranch(ni.wF, ni.wT, chainBackward(c, ni, ni.t))
-	case chooseFallT:
-		if !linked {
-			return n.fallback
-		}
-		return m.CondBranch(ni.wT, ni.wF, chainBackward(c, ni, ni.f))
-	case chooseNeither:
-		return ni.neitherCost(m)
-	case chooseLink:
-		if !linked {
-			return n.fallback
-		}
-		return 0
-	case chooseJump:
-		return ni.jumpCost(m)
-	default:
+// Link choices that are infeasible in the tentative state fall back to the
+// node's unaligned cost.
+func (n *tryNode) cost(c *chains, k int, linked bool) float64 {
+	o := &n.options[k]
+	switch {
+	case o.target == ir.NoBlock:
+		return o.fwd
+	case !linked:
 		return n.fallback
+	case o.fwd == o.back:
+		return o.fwd
+	case chainBackward(c, n.info, o.dirOf):
+		return o.back
+	default:
+		return o.fwd
 	}
 }
 
@@ -236,9 +263,9 @@ func clusterNodes(c *chains, nodes []*tryNode) [][]*tryNode {
 	keyOwner := make(map[int32]int)
 	for idx, n := range nodes {
 		keys := []int32{c.findNoCompress(n.info.id)}
-		for _, ch := range n.choices {
-			if t := n.linkTarget(ch); t != ir.NoBlock {
-				keys = append(keys, c.findNoCompress(t))
+		for _, o := range n.options {
+			if o.target != ir.NoBlock {
+				keys = append(keys, c.findNoCompress(o.target))
 			}
 		}
 		for _, k := range keys {
@@ -266,93 +293,161 @@ func clusterNodes(c *chains, nodes []*tryNode) [][]*tryNode {
 	return out
 }
 
-// commitBest exhaustively evaluates the choice combinations of one cluster
-// against the live chain state (tentatively linking and rolling back) and
-// commits the cheapest combination. Clusters whose combination count
+// ctxCheckMask sets how often the search polls its context: every 4096
+// search steps, a few microseconds of work.
+const ctxCheckMask = 1<<12 - 1
+
+// trySearch is the exact branch-and-bound search over one cluster's choice
+// combinations. It visits combinations depth-first in odometer order (node
+// 0 outermost, choices in index order), links node d tentatively after the
+// links of nodes < d, and prices a complete combination against the
+// resulting chain state, summing node costs in node order. A subtree is cut
+// when the node-order sum of per-node lower bounds already reaches the best
+// cost: float addition is monotone in each argument, so that sum never
+// exceeds the float total of any combination below, and because a
+// combination replaces the best only when strictly cheaper, the first
+// minimum in odometer order still wins. The buffers are sized once per
+// procedure, so the search allocates nothing.
+type trySearch struct {
+	ctx context.Context
+	c   *chains
+	sub []*tryNode
+	// Per-depth state: the chosen option, whether it linked, its undo
+	// record, and prefix[d], the node-order sum of the chosen nodes'
+	// bounds through depth d.
+	cur    []int
+	linked []bool
+	undo   []undoRecord
+	prefix []float64
+
+	best     []int
+	bestCost float64
+	haveBest bool
+
+	steps          int
+	leaves, pruned int64
+	err            error
+}
+
+// newTrySearch sizes the search buffers for opts' window: a window of N
+// edges names at most N nodes.
+func newTrySearch(opts Options) *trySearch {
+	w := opts.window()
+	return &trySearch{
+		ctx:    opts.Ctx,
+		cur:    make([]int, w),
+		linked: make([]bool, w),
+		undo:   make([]undoRecord, w),
+		prefix: make([]float64, w),
+		best:   make([]int, w),
+	}
+}
+
+// commitBest finds the cheapest choice combination of one cluster against
+// the live chain state and commits it. Clusters whose combination count
 // exceeds maxCombos are split into sequential sub-clusters.
-func commitBest(c *chains, cluster []*tryNode, forceJump map[ir.BlockID]bool, maxCombos int) {
+func (s *trySearch) commitBest(cluster []*tryNode, forceJump map[ir.BlockID]bool, m cost.Model, maxCombos int) error {
 	for len(cluster) > 0 {
 		// Take the longest prefix whose combination count fits the budget.
 		n := 0
 		combos := 1
 		for n < len(cluster) {
-			next := combos * len(cluster[n].choices)
+			next := combos * len(cluster[n].options)
 			if n > 0 && next > maxCombos {
 				break
 			}
 			combos = next
 			n++
 		}
-		sub := cluster[:n]
+		s.sub = cluster[:n]
 		cluster = cluster[n:]
 
-		best := make([]int, len(sub))
-		cur := make([]int, len(sub))
-		bestCost := evalCombo(c, sub, cur)
-		for {
-			// Odometer increment.
-			k := len(sub) - 1
-			for k >= 0 {
-				cur[k]++
-				if cur[k] < len(sub[k].choices) {
-					break
-				}
-				cur[k] = 0
-				k--
-			}
-			if k < 0 {
-				break
-			}
-			if ccost := evalCombo(c, sub, cur); ccost < bestCost {
-				bestCost = ccost
-				copy(best, cur)
-			}
+		s.haveBest = false
+		s.search(0)
+		if s.err != nil {
+			return s.err
 		}
 
 		// Commit the winning combination for real. A conditional whose
 		// winning choice did not materialize as a link (an explicit
 		// Neither, or a link that is infeasible — e.g. a self loop) is
 		// realized as "align neither edge" whenever that beats the natural
-		// fall-through, matching how the evaluation priced it.
-		for idx, n := range sub {
-			ch := n.choices[best[idx]]
+		// fall-through, matching how the search priced it.
+		for idx, n := range s.sub {
+			t := n.options[s.best[idx]].target
 			linked := false
-			if t := n.linkTarget(ch); t != ir.NoBlock && t != n.info.id && c.canLink(n.info.id, t) {
-				c.link(n.info.id, t)
+			if t != ir.NoBlock && t != n.info.id && s.c.canLink(n.info.id, t) {
+				s.c.link(n.info.id, t)
 				linked = true
 			}
-			if !linked && n.info.isCond &&
-				n.info.neitherCost(n.model) < n.info.alignCost(n.model, n.info.f) {
+			if !linked && n.info.isCond && n.fallback < n.info.alignCost(m, n.info.f) {
 				forceJump[n.info.id] = true
 			}
 		}
 	}
+	return nil
 }
 
-// evalCombo prices one choice combination: all of the combination's links
-// are tentatively applied first (in node order), then every node is priced
-// against the resulting chain state, and the links are rolled back. Link
-// choices that are infeasible in the tentative state fall back to the
-// node's unaligned cost.
-func evalCombo(c *chains, sub []*tryNode, cur []int) float64 {
-	var undo []undoRecord
-	linked := make([]bool, len(sub))
-	for idx, n := range sub {
-		t := n.linkTarget(n.choices[cur[idx]])
-		if t == ir.NoBlock {
-			continue
+// search enumerates the choices of node d and everything below it. It
+// returns early, with s.err set and the chain state restored, when the
+// context is done.
+func (s *trySearch) search(d int) {
+	n := s.sub[d]
+	for k := range n.options {
+		if s.steps++; s.steps&ctxCheckMask == 0 && s.ctx != nil {
+			if s.err = s.ctx.Err(); s.err != nil {
+				return
+			}
 		}
-		if t != n.info.id && c.canLink(n.info.id, t) {
-			undo = append(undo, c.tentativeLink(n.info.id, t))
-			linked[idx] = true
+		o := &n.options[k]
+		s.cur[d] = k
+		linked := o.target != ir.NoBlock && o.target != n.info.id && s.c.canLink(n.info.id, o.target)
+		s.linked[d] = linked
+		lb := o.fwd
+		switch {
+		case linked:
+			s.undo[d] = s.c.tentativeLink(n.info.id, o.target)
+			lb = math.Min(o.fwd, o.back)
+		case o.target != ir.NoBlock:
+			lb = n.fallback
+		}
+		base := 0.0
+		if d > 0 {
+			base = s.prefix[d-1]
+		}
+		s.prefix[d] = base + lb
+		bound := s.prefix[d]
+		for _, free := range s.sub[d+1:] {
+			bound += free.lbFree
+		}
+		switch {
+		case s.haveBest && bound >= s.bestCost:
+			s.pruned++
+		case d+1 < len(s.sub):
+			s.search(d + 1)
+		default:
+			s.leaf()
+		}
+		if linked {
+			s.c.undo(s.undo[d])
+		}
+		if s.err != nil {
+			return
 		}
 	}
+}
+
+// leaf prices the complete combination in s.cur and keeps it if it is the
+// first or strictly cheaper than the best so far.
+func (s *trySearch) leaf() {
+	s.leaves++
 	total := 0.0
-	for idx, n := range sub {
-		total += n.choiceCost(c, n.choices[cur[idx]], linked[idx])
+	for i, n := range s.sub {
+		total += n.cost(s.c, s.cur[i], s.linked[i])
 	}
-	for k := len(undo) - 1; k >= 0; k-- {
-		c.undo(undo[k])
+	if !s.haveBest || total < s.bestCost {
+		s.haveBest = true
+		s.bestCost = total
+		copy(s.best, s.cur[:len(s.sub)])
 	}
-	return total
 }

@@ -203,19 +203,19 @@ func (s *Server) computeAlign(ctx context.Context, reqAny any) (any, *apiError) 
 		order = core.OrderBTFNT
 	}
 	for _, algoName := range req.Algos {
-		if err := ctx.Err(); err != nil {
-			return nil, ctxError(err)
-		}
 		algo := validAlignAlgos[algoName]
 		opts := core.Options{
 			Algorithm: algo,
 			Order:     order,
 			Window:    req.Window,
 			Obs:       s.obs,
+			Ctx:       ctx,
 		}
 		if algo == core.AlgoCost || algo == core.AlgoTryN {
 			opts.Model = model
 		}
+		// A done ctx stops AlignProgram; serveAPI reports that error as the
+		// deadline's 504, not as this 422.
 		res, err := core.AlignProgram(prog, pf, opts)
 		if err != nil {
 			return nil, &apiError{status: 422, code: "align_failed", msg: err.Error()}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -492,6 +494,38 @@ func TestSimulateDeadlineFreesStream(t *testing.T) {
 	}
 }
 
+// TestAlignDeadlineStopsTryN is the align half of the cancellation
+// regression: a /v1/align whose TryN work far exceeds the deadline must
+// come back 504 promptly, having planned only part of the program, and
+// free its admission slot for the next request.
+func TestAlignDeadlineStopsTryN(t *testing.T) {
+	const procs = 100
+	rec := obs.New("test")
+	s, ts := newTestServer(t, Config{Timeout: 200 * time.Millisecond, MaxInFlight: 1, Obs: rec})
+
+	start := time.Now()
+	status, _, body := post(t, ts.URL+"/v1/align", slowAlignRequest(procs))
+	elapsed := time.Since(start)
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504 (%.200s)", status, body)
+	}
+	var env errEnvelope
+	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != "deadline_exceeded" {
+		t.Errorf("504 envelope = %s (err %v)", body, err)
+	}
+	if planned := rec.Report().Counters["core.plan.tryn.procs"]; planned >= procs {
+		t.Errorf("TryN planned %d of %d procedures; the deadline did not stop it", planned, procs)
+	}
+	if elapsed > 3*time.Second {
+		t.Errorf("cancelled request took %v; cancellation is not prompt", elapsed)
+	}
+
+	waitFor(t, func() bool { return s.InFlight() == 0 })
+	if status, _, body := post(t, ts.URL+"/v1/align", alignRequest(t)); status != http.StatusOK {
+		t.Errorf("request after the 504 = %d, want 200 (%.200s)", status, body)
+	}
+}
+
 // TestPanicRecovery injects a handler panic and asserts the 500 envelope.
 func TestPanicRecovery(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
@@ -565,5 +599,41 @@ func TestLRUCacheBounds(t *testing.T) {
 	}
 	if st := nilCache.Stats(); st != (CacheStats{}) {
 		t.Errorf("nil cache stats = %+v", st)
+	}
+}
+
+// slowAlignRequest is an align body whose compute takes seconds: procs
+// procedures of 64 conditionals each, branching to pseudo-random targets
+// under pseudo-random profile weights, aligned by TryN at the largest
+// window the API accepts.
+func slowAlignRequest(procs int) map[string]any {
+	const blocks = 64
+	var src, prof strings.Builder
+	prof.WriteString("program slow\n")
+	src.WriteString("proc main\n    halt\nendproc\n")
+	x := uint64(1)
+	next := func(n uint64) uint64 { // xorshift: deterministic, no seed plumbing
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x % n
+	}
+	for p := 0; p < procs; p++ {
+		fmt.Fprintf(&src, "proc f%d\n", p)
+		fmt.Fprintf(&prof, "proc f%d\n", p)
+		for b := 0; b < blocks-1; b++ {
+			t := next(blocks)
+			wT, wF := 2+next(1000), 2+next(1000)
+			fmt.Fprintf(&src, "L%d:\n    beqz r%d, L%d\n", b, 1+b%8, t)
+			fmt.Fprintf(&prof, "edge %d %d %d\nedge %d %d %d\nbranch %d %d %d\n", b, t, wT, b, b+1, wF, b, wT, wF)
+		}
+		fmt.Fprintf(&src, "L%d:\n    ret\nendproc\n", blocks-1)
+	}
+	return map[string]any{
+		"name":    "slow",
+		"asm":     src.String(),
+		"profile": prof.String(),
+		"algos":   []string{"tryn"},
+		"window":  24,
 	}
 }
